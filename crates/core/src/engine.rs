@@ -20,21 +20,22 @@
 //! | `push_queries` — ship `sub_q_v` to providers | §7 |
 
 use crate::fguide::{filter_candidates, FGuide};
-use crate::influence::{compute_layers, Layers};
-use crate::nfq::{build_lpqs, build_nfqs, relax_nfq_to_xpath, Nfq};
-use crate::plan::CompiledQuery;
+use crate::influence::Layers;
+use crate::nfq::Nfq;
+use crate::plan::{affected_language, position_language, CompiledQuery};
 use crate::stats::EngineStats;
 use crate::typed::TypeRefiner;
 use axml_obs::{CacheOutcome, Event, EventKind, ShedReason, TraceSink};
 use axml_query::{
     eval_with, render, EdgeKind, EvalOptions, PLabel, Pattern, PlanScratch, SnapshotResult,
 };
-use axml_schema::{SatMode, Schema, SymDfa, SymNfa};
+use axml_schema::{Nfa, SatMode, Schema, SymDfa, SymNfa};
 use axml_services::{
     CacheLookup, Deadline, FailedCall, InvokeCache, InvokeError, InvokeOutcome, PushedQuery,
     Registry, SimClock,
 };
 use axml_xml::{CallId, Document, NodeId};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 use std::time::Instant;
@@ -132,9 +133,6 @@ pub struct EngineConfig {
     /// `--no-index` CLI flags switch them off for debugging and A/B
     /// benchmarking. Every combination computes identical results.
     pub eval_options: EvalOptions,
-    /// Record an execution trace: one [`TraceEvent`] per invocation, in
-    /// order (round, service, document position, push, cost).
-    pub trace: bool,
     /// Dispatch parallel batches on real OS threads (one per call), the
     /// way the original system issued asynchronous SOAP calls. Results are
     /// still spliced sequentially and deterministically (document order),
@@ -158,13 +156,6 @@ pub struct EngineConfig {
     pub hedge: HedgeConfig,
     /// Adaptive load-shedding policy (off by default).
     pub shed: ShedConfig,
-    /// Consult a [`CompiledQuery`] attached via [`Engine::with_plan`]
-    /// (on by default). Off, the engine ignores any attached plan and
-    /// recompiles every query-derived artifact per run — the
-    /// *interpreted* path the differential plan-equivalence oracle
-    /// compares against. Answers, traces and statistics are identical
-    /// either way.
-    pub use_plans: bool,
 }
 
 /// When to fire a duplicate *hedge leg* for a slow call inside a parallel
@@ -277,13 +268,11 @@ impl Default for EngineConfig {
             incremental_detection: false,
             splice_log_capacity: 4096,
             eval_options: EvalOptions::default(),
-            trace: false,
             real_threads: false,
             speculation: Speculation::Off,
             deadline_ms: f64::INFINITY,
             hedge: HedgeConfig::default(),
             shed: ShedConfig::default(),
-            use_plans: true,
         }
     }
 }
@@ -337,36 +326,6 @@ impl EngineConfig {
     }
 }
 
-/// One invocation in an execution trace (recorded when
-/// [`EngineConfig::trace`] is on).
-#[derive(Clone, Debug)]
-pub struct TraceEvent {
-    /// The invoke/re-evaluate round the call belonged to.
-    pub round: usize,
-    /// Service name.
-    pub service: String,
-    /// Slash-joined label path of the call's parent.
-    pub path: String,
-    /// Whether a subquery was pushed with the call (§7).
-    pub pushed: bool,
-    /// Simulated cost of the call — for failed calls, the cost burned by
-    /// the failed attempts and their retry backoff.
-    pub cost_ms: f64,
-    /// Attempts made (1 = succeeded first try; > 1 means retries fired;
-    /// 0 for cache hits — no service attempt was made).
-    pub attempts: usize,
-    /// Whether the call ultimately delivered an answer. `false` marks a
-    /// call that exhausted its retry budget; its subtree is missing from
-    /// the partial answer.
-    pub ok: bool,
-    /// Whether the answer was served from the cross-query call-result
-    /// cache instead of a service invocation (reconstructed §7).
-    pub cached: bool,
-    /// Whether a duplicate hedge leg was fired for this call (the
-    /// recorded cost and outcome are the race winner's).
-    pub hedged: bool,
-}
-
 /// The outcome of one engine run.
 #[derive(Clone, Debug)]
 pub struct EvalReport {
@@ -374,8 +333,6 @@ pub struct EvalReport {
     pub result: SnapshotResult,
     /// Measurements.
     pub stats: EngineStats,
-    /// Execution trace (empty unless [`EngineConfig::trace`] is set).
-    pub trace: Vec<TraceEvent>,
     /// Whether the answer is the *full* result. `false` means degradation
     /// happened — some relevant call permanently failed, was refused by an
     /// open circuit breaker, named an unknown service, or the invocation
@@ -410,25 +367,41 @@ impl<'a> Engine<'a> {
     }
 
     /// Attaches a [`CompiledQuery`]: runs whose `(query, schema, config)`
-    /// match the plan's compile key skip NFQ/LPQ construction, containment
-    /// pruning, layer computation and label-NFA builds, reuse the plan's
-    /// satisfiability verdicts, and evaluate the final answer through the
-    /// plan's symbol remap. A non-matching plan is ignored — never
-    /// misapplied. Gated by [`EngineConfig::use_plans`].
+    /// match the plan's compile key take their NFQs, LPQs, layers, label
+    /// NFAs, satisfiability verdicts and final-evaluation plan from it
+    /// instead of compiling them. A non-matching plan is ignored — never
+    /// misapplied — and the run compiles its own.
     pub fn with_plan(mut self, plan: Arc<CompiledQuery>) -> Self {
         self.plan = Some(plan);
         self
     }
 
-    /// The attached plan, iff enabled and compiled for exactly this
-    /// `(query, schema, config)`.
-    fn active_plan(&self, query: &Pattern) -> Option<&CompiledQuery> {
-        if !self.config.use_plans {
-            return None;
+    /// The plan a run of `query` evaluates through: the attached one when
+    /// it was compiled for exactly this `(query, schema, config)`,
+    /// otherwise a cold compile.
+    fn plan_for(&self, query: &Pattern) -> Arc<CompiledQuery> {
+        match &self.plan {
+            Some(p) if p.compatible(query, self.schema, &self.config) => Arc::clone(p),
+            _ => Arc::new(CompiledQuery::compile(query, self.schema, &self.config)),
         }
-        self.plan
-            .as_deref()
-            .filter(|p| p.compatible(query, self.schema, &self.config))
+    }
+
+    /// The §5 typing refiner for `query`, sharing the plan's verdict store
+    /// (keyed by the same `(schema, query, typing)` triple the plan was
+    /// compiled under); `None` without a schema or with typing off.
+    fn refiner<'q>(&self, query: &'q Pattern, plan: &CompiledQuery) -> Option<TypeRefiner<'a, 'q>> {
+        let mode = match self.config.typing {
+            Typing::None => return None,
+            Typing::Lenient => SatMode::Lenient,
+            Typing::Exact => SatMode::Exact,
+        };
+        let schema = self.schema?;
+        Some(TypeRefiner::with_verdicts(
+            schema,
+            query,
+            mode,
+            plan.verdicts.clone(),
+        ))
     }
 
     /// Attaches a structured-trace observer: every observable step of a
@@ -495,69 +468,27 @@ impl<'a> Engine<'a> {
             return Vec::new();
         }
         let t0 = Instant::now();
-        let shared_config = EngineConfig {
-            push_queries: false,
-            ..self.config.clone()
-        };
-        let engine = Engine {
-            registry: self.registry,
-            schema: self.schema,
-            cache: self.cache,
-            observer: self.observer,
-            start_ms: self.start_ms,
-            config: shared_config,
-            // the shared loop mixes several queries; per-query plans
-            // don't apply (and push is off anyway)
+        let shared = Engine {
+            config: EngineConfig {
+                push_queries: false,
+                ..self.config.clone()
+            },
             plan: None,
+            ..*self
         };
-        let mut run = Run {
-            engine: &engine,
-            query: &queries[0], // unused: push is off and refiners are per query
-            clock: SimClock::at(self.start_ms),
-            stats: EngineStats::default(),
-            dead: HashSet::new(),
-            guide: None,
-            budget: self.config.max_invocations,
-            total_call_cost_ms: 0.0,
-            splice_seq: 0,
-            splice_log: VecDeque::new(),
-            splice_floor: 0,
-            nfq_cache: HashMap::new(),
-            affected_nfas: HashMap::new(),
-            pos_nfas: HashMap::new(),
-            affected_sym: HashMap::new(),
-            pos_sym: HashMap::new(),
-            eval_cache: PlanScratch::default(),
-            trace: Vec::new(),
-            seq: 0,
-            layer: 0,
-            deadline: Deadline::after(self.start_ms, self.config.deadline_ms),
-            deadline_hit: false,
-            batch_admitted: BTreeMap::new(),
-            pending_hedged: false,
-        };
-        let typing = match (self.config.typing, self.schema) {
-            (Typing::Lenient, Some(_)) => Some(SatMode::Lenient),
-            (Typing::Exact, Some(_)) => Some(SatMode::Exact),
-            _ => None,
-        };
-        let mut per_query: Vec<(Vec<Nfq>, Option<TypeRefiner<'_, '_>>)> = queries
-            .iter()
-            .map(|q| {
-                let mut nfqs = build_nfqs(q);
-                if self.config.relax_xpath {
-                    nfqs = nfqs.iter().map(relax_nfq_to_xpath).collect();
-                }
-                if self.config.containment_pruning {
-                    let (kept, pruned) = crate::containment::prune_subsumed_nfqs(q, nfqs);
-                    nfqs = kept;
-                    run.stats.queries_pruned += pruned;
-                }
-                let refiner =
-                    typing.and_then(|mode| self.schema.map(|s| TypeRefiner::new(s, q, mode)));
-                (nfqs, refiner)
-            })
-            .collect();
+        let plans: Vec<Arc<CompiledQuery>> = queries.iter().map(|q| self.plan_for(q)).collect();
+        // push is off, so the run's own query is never consulted
+        let mut run = Run::new(&shared, &queries[0]);
+        // one NFQ index space across all queries, so per-NFQ caches of
+        // different queries never collide
+        let mut nfqs: Vec<Nfq> = Vec::new();
+        let mut per_query: Vec<(Vec<usize>, Option<TypeRefiner<'_, '_>>)> = Vec::new();
+        for (q, plan) in queries.iter().zip(&plans) {
+            let first = nfqs.len();
+            run.load_nfqs(plan, &mut nfqs);
+            run.stats.queries_pruned += plan.nfq_pruned;
+            per_query.push(((first..nfqs.len()).collect(), self.refiner(q, plan)));
+        }
 
         if run.observing() {
             let rendered: Vec<String> = queries.iter().map(render).collect();
@@ -568,9 +499,8 @@ impl<'a> Engine<'a> {
         }
         loop {
             let mut merged: BTreeMap<CallId, Candidate> = BTreeMap::new();
-            for (nfqs, refiner) in per_query.iter_mut() {
-                let all: Vec<usize> = (0..nfqs.len()).collect();
-                let (cands, _) = run.detect_nfq_candidates(doc, nfqs, &all, refiner);
+            for (indices, refiner) in per_query.iter_mut() {
+                let (cands, _) = run.detect_nfq_candidates(doc, &nfqs, indices, refiner);
                 for c in cands {
                     merged.entry(c.call).or_insert(c);
                 }
@@ -602,13 +532,14 @@ impl<'a> Engine<'a> {
             run.emit_with_cpu(kind, Some(cpu));
         }
         let shared_stats = run.stats;
-        let shared_trace = run.trace;
         let mut final_cache = PlanScratch::default();
-        queries
+        plans
             .iter()
-            .map(|q| {
+            .map(|plan| {
                 let tq = Instant::now();
-                let result = eval_with(q, doc, self.config.eval_options, &mut final_cache);
+                let result = plan
+                    .plan
+                    .eval_with(doc, self.config.eval_options, &mut final_cache);
                 let mut stats = shared_stats.clone();
                 stats.final_eval_cpu = tq.elapsed();
                 stats.total_cpu = t0.elapsed();
@@ -616,7 +547,6 @@ impl<'a> Engine<'a> {
                 EvalReport {
                     result,
                     stats,
-                    trace: shared_trace.clone(),
                     complete,
                 }
             })
@@ -624,35 +554,12 @@ impl<'a> Engine<'a> {
     }
 
     /// Runs the rewriting on `doc` (mutated in place) and evaluates the
-    /// query on the completed document.
+    /// query on the completed document, through the attached plan when it
+    /// is compatible and through a freshly compiled one otherwise.
     pub fn evaluate(&self, doc: &mut Document, query: &Pattern) -> EvalReport {
         let t0 = Instant::now();
-        let mut run = Run {
-            engine: self,
-            query,
-            clock: SimClock::at(self.start_ms),
-            stats: EngineStats::default(),
-            dead: HashSet::new(),
-            guide: None,
-            budget: self.config.max_invocations,
-            total_call_cost_ms: 0.0,
-            splice_seq: 0,
-            splice_log: VecDeque::new(),
-            splice_floor: 0,
-            nfq_cache: HashMap::new(),
-            affected_nfas: HashMap::new(),
-            pos_nfas: HashMap::new(),
-            affected_sym: HashMap::new(),
-            pos_sym: HashMap::new(),
-            eval_cache: PlanScratch::default(),
-            trace: Vec::new(),
-            seq: 0,
-            layer: 0,
-            deadline: Deadline::after(self.start_ms, self.config.deadline_ms),
-            deadline_hit: false,
-            batch_admitted: BTreeMap::new(),
-            pending_hedged: false,
-        };
+        let plan = self.plan_for(query);
+        let mut run = Run::new(self, query);
         if run.observing() {
             run.emit(EventKind::QueryStart {
                 strategy: self.config.strategy.name().to_string(),
@@ -661,19 +568,16 @@ impl<'a> Engine<'a> {
         }
         match self.config.strategy {
             Strategy::Naive => run.run_naive(doc),
-            Strategy::TopDown => run.run_lpq(doc, true),
-            Strategy::Lpq => run.run_lpq(doc, false),
-            Strategy::Nfq => run.run_nfq(doc),
+            Strategy::TopDown => run.run_lpq(doc, &plan, true),
+            Strategy::Lpq => run.run_lpq(doc, &plan, false),
+            Strategy::Nfq => run.run_nfq(doc, &plan),
         }
         let tq = Instant::now();
-        let result = match self.active_plan(query) {
-            // the remap road: bind the compiled plan into this document's
-            // symbol space (identical tables ⇒ identical result)
-            Some(p) => p
-                .plan
-                .eval_with(doc, self.config.eval_options, &mut run.eval_cache),
-            None => eval_with(query, doc, self.config.eval_options, &mut run.eval_cache),
-        };
+        // the plan binds into this document's symbol space by a remap
+        // (identical tables ⇒ identical result)
+        let result = plan
+            .plan
+            .eval_with(doc, self.config.eval_options, &mut run.eval_cache);
         run.stats.final_eval_cpu = tq.elapsed();
         run.stats.sim_time_ms = run.clock.now_ms() - self.start_ms;
         run.stats.total_cpu = t0.elapsed();
@@ -692,7 +596,6 @@ impl<'a> Engine<'a> {
         EvalReport {
             result,
             stats: run.stats,
-            trace: run.trace,
             complete,
         }
     }
@@ -766,11 +669,13 @@ struct Run<'e, 'a, 'q> {
     splice_floor: u64,
     /// per-NFQ-index cached candidates and their freshness
     nfq_cache: HashMap<usize, NfqCacheEntry>,
-    /// per-NFQ-index prefix-closed union of path languages
-    affected_nfas: HashMap<usize, axml_schema::Nfa>,
+    /// per-NFQ-index prefix-closed union of path languages: borrowed from
+    /// the plan, or `None` once `simplify_layers` rewrote the NFQ (rebuilt
+    /// on first use)
+    affected_nfas: Vec<Option<Cow<'q, Nfa>>>,
     /// per-NFQ-index label-level *position* language (the linear path,
-    /// suffix-closed for descendant-ended NFQs)
-    pos_nfas: HashMap<usize, axml_schema::Nfa>,
+    /// suffix-closed for descendant-ended NFQs), same ownership
+    pos_nfas: Vec<Option<Cow<'q, Nfa>>>,
     /// symbol-compiled `affected_nfas`, stamped with the `sym_count` they
     /// were compiled at (recompiled when the symbol table grows)
     affected_sym: HashMap<usize, (usize, SymAuto)>,
@@ -779,7 +684,6 @@ struct Run<'e, 'a, 'q> {
     /// reusable evaluator memo tables (the NFQA loop re-evaluates
     /// patterns once per round)
     eval_cache: PlanScratch,
-    trace: Vec<TraceEvent>,
     /// monotone event counter for the structured trace (resets per run)
     seq: u64,
     /// influence layer currently being processed (0 when unlayered)
@@ -791,9 +695,6 @@ struct Run<'e, 'a, 'q> {
     deadline_hit: bool,
     /// per-batch admitted-call counts per service, for the shed gate
     batch_admitted: BTreeMap<String, usize>,
-    /// whether the invocation currently being applied was hedged — read
-    /// by the legacy `TraceEvent` mirror in `emit_with_cpu`
-    pending_hedged: bool,
 }
 
 /// A symbol-compiled path automaton: determinized when the subset
@@ -994,21 +895,55 @@ fn dispatch_hedged(
 }
 
 impl<'e, 'a, 'q> Run<'e, 'a, 'q> {
+    fn new(engine: &'e Engine<'a>, query: &'q Pattern) -> Self {
+        Run {
+            engine,
+            query,
+            clock: SimClock::at(engine.start_ms),
+            stats: EngineStats::default(),
+            dead: HashSet::new(),
+            guide: None,
+            budget: engine.config.max_invocations,
+            total_call_cost_ms: 0.0,
+            splice_seq: 0,
+            splice_log: VecDeque::new(),
+            splice_floor: 0,
+            nfq_cache: HashMap::new(),
+            affected_nfas: Vec::new(),
+            pos_nfas: Vec::new(),
+            affected_sym: HashMap::new(),
+            pos_sym: HashMap::new(),
+            eval_cache: PlanScratch::default(),
+            seq: 0,
+            layer: 0,
+            deadline: Deadline::after(engine.start_ms, engine.config.deadline_ms),
+            deadline_hit: false,
+            batch_admitted: BTreeMap::new(),
+        }
+    }
+
     fn config(&self) -> &EngineConfig {
         &self.engine.config
     }
 
-    /// Whether any trace consumer is attached (structured observer or the
-    /// legacy flat `TraceEvent` log). Callers use this to skip the clones
-    /// event construction needs on the hot path.
+    /// Appends the plan's NFQs to `nfqs`, borrowing their label NFAs at
+    /// the same indices.
+    fn load_nfqs(&mut self, plan: &'q CompiledQuery, nfqs: &mut Vec<Nfq>) {
+        nfqs.extend(plan.nfqs.iter().cloned());
+        self.affected_nfas
+            .extend(plan.affected_nfas.iter().map(|n| Some(Cow::Borrowed(n))));
+        self.pos_nfas
+            .extend(plan.pos_nfas.iter().map(|n| Some(Cow::Borrowed(n))));
+    }
+
+    /// Whether a structured-trace observer is attached. Callers use this
+    /// to skip the clones event construction needs on the hot path.
     fn observing(&self) -> bool {
-        self.engine.observer.is_some() || self.engine.config.trace
+        self.engine.observer.is_some()
     }
 
     /// Emits one structured event stamped with the run's current position
-    /// (seq, simulated clock, round, layer). The legacy flat
-    /// [`TraceEvent`] log is a projection of this stream: `invocation`
-    /// events are mirrored into it when [`EngineConfig::trace`] is set.
+    /// (seq, simulated clock, round, layer).
     fn emit(&mut self, kind: EventKind) {
         self.emit_with_cpu(kind, None);
     }
@@ -1016,31 +951,6 @@ impl<'e, 'a, 'q> Run<'e, 'a, 'q> {
     fn emit_with_cpu(&mut self, kind: EventKind, cpu_ms: Option<f64>) {
         if !self.observing() {
             return;
-        }
-        if self.config().trace {
-            if let EventKind::Invocation {
-                service,
-                path,
-                pushed,
-                cached,
-                ok,
-                attempts,
-                cost_ms,
-                ..
-            } = &kind
-            {
-                self.trace.push(TraceEvent {
-                    round: self.stats.rounds,
-                    service: service.clone(),
-                    path: path.clone(),
-                    pushed: *pushed,
-                    cost_ms: *cost_ms,
-                    attempts: *attempts,
-                    ok: *ok,
-                    cached: *cached,
-                    hedged: self.pending_hedged,
-                });
-            }
         }
         let event = Event {
             seq: self.seq,
@@ -1661,7 +1571,6 @@ impl<'e, 'a, 'q> Run<'e, 'a, 'q> {
                             hedge_won: leg.hedge_won,
                         });
                     }
-                    self.pending_hedged = true;
                 }
                 match res {
                     Ok(outcome) => {
@@ -1693,7 +1602,6 @@ impl<'e, 'a, 'q> Run<'e, 'a, 'q> {
                         invoked += 1;
                     }
                 }
-                self.pending_hedged = false;
             }
             self.clock.advance_parallel(&costs);
             if !costs.is_empty() {
@@ -1758,37 +1666,18 @@ impl<'e, 'a, 'q> Run<'e, 'a, 'q> {
 
     // ---------------- LPQ / top-down ----------------
 
-    fn run_lpq(&mut self, doc: &mut Document, one_at_a_time: bool) {
-        let plan = self.engine.active_plan(self.query);
-        let lpqs: Vec<crate::nfq::Lpq>;
-        let lpq_plans: Option<&[axml_query::QueryPlan]>;
-        if let Some(p) = plan {
-            lpqs = p.lpqs.clone();
-            lpq_plans = Some(&p.lpq_plans);
-            self.stats.queries_pruned = p.lpq_pruned;
-        } else {
-            let mut built = build_lpqs(self.query);
-            if self.config().containment_pruning {
-                let (kept, pruned) = crate::containment::prune_subsumed_lpqs(built);
-                built = kept;
-                self.stats.queries_pruned = pruned;
-            }
-            lpqs = built;
-            lpq_plans = None;
-        }
+    fn run_lpq(&mut self, doc: &mut Document, plan: &CompiledQuery, one_at_a_time: bool) {
+        self.stats.queries_pruned = plan.lpq_pruned;
         loop {
             let t = Instant::now();
             let mut cands: Vec<Candidate> = Vec::new();
             let mut seen: HashSet<CallId> = HashSet::new();
-            for (li, lpq) in lpqs.iter().enumerate() {
+            // LPQ patterns are immutable over the run, so their compiled
+            // plans apply verbatim (remap per eval)
+            for (lpq, lpq_plan) in plan.lpqs.iter().zip(&plan.lpq_plans) {
                 self.stats.relevance_evals += 1;
                 let opts = self.config().eval_options;
-                let r = match lpq_plans {
-                    // LPQ patterns are immutable over the run, so the
-                    // compiled plan applies verbatim (remap per eval)
-                    Some(ps) => ps[li].eval_with(doc, opts, &mut self.eval_cache),
-                    None => eval_with(&lpq.pattern, doc, opts, &mut self.eval_cache),
-                };
+                let r = lpq_plan.eval_with(doc, opts, &mut self.eval_cache);
                 for node in r.bindings_of(lpq.output) {
                     if let Some((id, svc)) = doc.call_info(node) {
                         if !self.dead.contains(&id) && seen.insert(id) {
@@ -1836,66 +1725,30 @@ impl<'e, 'a, 'q> Run<'e, 'a, 'q> {
 
     // ---------------- NFQ (NFQA + layers + typing + F-guide) ----------------
 
-    fn run_nfq(&mut self, doc: &mut Document) {
-        let plan = self.engine.active_plan(self.query);
-        let mut nfqs;
-        let precomputed_layers: Option<Layers>;
-        if let Some(p) = plan {
-            // the compiled artifact: NFQs (relaxed/pruned), layers and
-            // label NFAs, byte-identical to what the code below builds
-            nfqs = p.nfqs.clone();
-            self.stats.queries_pruned = p.nfq_pruned;
-            precomputed_layers = Some(p.layers.clone());
-            for (i, nfa) in p.affected_nfas.iter().enumerate() {
-                self.affected_nfas.insert(i, nfa.clone());
-            }
-            for (i, nfa) in p.pos_nfas.iter().enumerate() {
-                self.pos_nfas.insert(i, nfa.clone());
-            }
-        } else {
-            nfqs = build_nfqs(self.query);
-            if self.config().relax_xpath {
-                nfqs = nfqs.iter().map(relax_nfq_to_xpath).collect();
-            }
-            if self.config().containment_pruning {
-                let (kept, pruned) = crate::containment::prune_subsumed_nfqs(self.query, nfqs);
-                nfqs = kept;
-                self.stats.queries_pruned = pruned;
-            }
-            precomputed_layers = None;
-        }
-        let computed = precomputed_layers.unwrap_or_else(|| compute_layers(&nfqs));
-        let layers: Layers = if self.config().layering {
-            computed
+    fn run_nfq(&mut self, doc: &mut Document, plan: &'q CompiledQuery) {
+        let mut nfqs = Vec::new();
+        self.load_nfqs(plan, &mut nfqs);
+        self.stats.queries_pruned = plan.nfq_pruned;
+        let single;
+        let layers: &Layers = if self.config().layering {
+            &plan.layers
         } else {
             // a single layer containing everything; check (✳) globally
-            let all: Vec<usize> = (0..nfqs.len()).collect();
+            let computed = &plan.layers;
             let independent =
                 computed.layers.len() == nfqs.len() && computed.independent.iter().all(|&b| b);
-            Layers {
-                layers: vec![all],
+            single = Layers {
+                layers: vec![(0..nfqs.len()).collect()],
                 independent: vec![independent],
-            }
+            };
+            &single
         };
 
         if self.config().use_fguide {
             self.guide = Some(FGuide::build(doc));
         }
 
-        let typing = match (self.config().typing, self.engine.schema) {
-            (Typing::Lenient, Some(_)) => Some(SatMode::Lenient),
-            (Typing::Exact, Some(_)) => Some(SatMode::Exact),
-            _ => None,
-        };
-        let schema = self.engine.schema;
-        let mut refiner = typing.and_then(|mode| {
-            schema.map(|s| match plan {
-                // share the plan's verdict store (keyed by the same
-                // (schema, query, typing) triple `compatible` checked)
-                Some(p) => TypeRefiner::with_verdicts(s, self.query, mode, p.verdicts.clone()),
-                None => TypeRefiner::new(s, self.query, mode),
-            })
-        });
+        let mut refiner = self.engine.refiner(self.query, plan);
 
         if self.config().speculation != Speculation::Off {
             self.run_nfq_speculative(doc, &nfqs, &mut refiner);
@@ -1965,8 +1818,8 @@ impl<'e, 'a, 'q> Run<'e, 'a, 'q> {
                 }
                 for ni in changed_nfqs {
                     self.nfq_cache.remove(&ni);
-                    self.affected_nfas.remove(&ni);
-                    self.pos_nfas.remove(&ni);
+                    self.affected_nfas[ni] = None;
+                    self.pos_nfas[ni] = None;
                     self.affected_sym.remove(&ni);
                     self.pos_sym.remove(&ni);
                 }
@@ -2035,26 +1888,13 @@ impl<'e, 'a, 'q> Run<'e, 'a, 'q> {
         if self.splice_log.iter().all(|r| r.seq <= since) {
             return false;
         }
-        self.affected_nfas.entry(i).or_insert_with(|| {
-            let parts: Vec<axml_schema::Nfa> = nfq
-                .pattern
-                .node_ids()
-                .map(|id| {
-                    axml_schema::Nfa::from_linear_path(&axml_query::LinearPath::to_node(
-                        &nfq.pattern,
-                        id,
-                        true,
-                    ))
-                })
-                .collect();
-            axml_schema::Nfa::union_of(&parts).prefix_closure()
-        });
         // symbol-compiled form, recompiled whenever the symbol table grew
         // (a label unknown at compile time may have been interned since)
         let sym_count = doc.sym_count();
         if !matches!(self.affected_sym.get(&i), Some((stamp, _)) if *stamp == sym_count) {
-            let compiled =
-                SymAuto::compile(self.affected_nfas[&i].compile_syms(|l| doc.lookup_sym(l)));
+            let nfa =
+                self.affected_nfas[i].get_or_insert_with(|| Cow::Owned(affected_language(nfq)));
+            let compiled = SymAuto::compile(nfa.compile_syms(|l| doc.lookup_sym(l)));
             self.affected_sym.insert(i, (sym_count, compiled));
         }
         let nfa = &self.affected_sym[&i].1;
@@ -2080,17 +1920,8 @@ impl<'e, 'a, 'q> Run<'e, 'a, 'q> {
         // NFQs (calls strictly below any node matching the path)
         let sym_count = doc.sym_count();
         if !matches!(self.pos_sym.get(&i), Some((stamp, _)) if *stamp == sym_count) {
-            let compiled = {
-                let nfa = self.pos_nfas.entry(i).or_insert_with(|| {
-                    let nfa = axml_schema::Nfa::from_linear_path(&nfq.lin);
-                    if nfq.via == EdgeKind::Descendant {
-                        nfa.suffix_closure()
-                    } else {
-                        nfa
-                    }
-                });
-                SymAuto::compile(nfa.compile_syms(|l| doc.lookup_sym(l)))
-            };
+            let nfa = self.pos_nfas[i].get_or_insert_with(|| Cow::Owned(position_language(nfq)));
+            let compiled = SymAuto::compile(nfa.compile_syms(|l| doc.lookup_sym(l)));
             self.pos_sym.insert(i, (sym_count, compiled));
         }
         let word = match doc.parent(call) {

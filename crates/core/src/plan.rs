@@ -2,8 +2,10 @@
 //! (query, schema, config)**, serve any number of documents.
 //!
 //! A [`CompiledQuery`] fuses every artifact the engine derives from the
-//! query alone — work that [`crate::Engine::evaluate`] otherwise redoes
-//! per run:
+//! query alone. It is the engine's only compile path:
+//! [`crate::Engine::evaluate`] always runs from one — the plan attached
+//! with [`crate::Engine::with_plan`] when compatible, otherwise one it
+//! compiles on entry. The artifacts:
 //!
 //! * the main pattern's [`QueryPlan`] (interned symbol table + compiled
 //!   label tests, bindable to any document by a symbol remap),
@@ -21,11 +23,11 @@
 //! Per document, the remaining setup is a **symbol-table remap**: plan
 //! symbols translate through the document's interner
 //! ([`QueryPlan::bind`]), and the label NFAs compile to symbol automata
-//! (determinized up to a state cap) against the same table. Results,
-//! traces and statistics are byte-identical to the interpreted path —
-//! the remap produces *the same* compiled tables the engine would build
-//! transiently, an invariant the differential plan-equivalence oracle
-//! pins.
+//! (determinized up to a state cap) against the same table. Reusing a
+//! plan is observationally invisible: results, traces and statistics are
+//! byte-identical to a run that compiled its own — the remap produces
+//! *the same* compiled tables, an invariant the differential
+//! plan-equivalence oracle pins.
 //!
 //! The artifact is immutable and thread-safe; share it behind an `Arc`
 //! (the store's `PlanCache` does exactly that).
@@ -40,7 +42,7 @@ use axml_schema::{Nfa, Schema};
 /// The compile-relevant slice of an [`EngineConfig`] plus the query and
 /// schema identities, captured at compile time. A plan is consulted only
 /// when the run's key matches — a mismatched plan is silently ignored
-/// (the engine falls back to transient compilation), never misapplied.
+/// (the engine compiles its own), never misapplied.
 #[derive(Clone, Debug, PartialEq, Eq)]
 struct PlanKey {
     query: String,
@@ -85,7 +87,7 @@ pub struct CompiledQuery {
     query: Pattern,
     /// Plan for the main pattern (the final evaluation).
     pub(crate) plan: QueryPlan,
-    /// NFQs after relaxation/pruning, exactly as `run_nfq` would build.
+    /// NFQs after relaxation/pruning, in the order `run_nfq` indexes them.
     pub(crate) nfqs: Vec<Nfq>,
     pub(crate) nfq_pruned: usize,
     /// LPQs after pruning, with compiled plans (LPQ patterns are never
@@ -183,8 +185,9 @@ impl CompiledQuery {
 
 /// The prefix-closed union of the root-path languages of every node of
 /// the NFQ's pattern — the language of positions whose splices can change
-/// the NFQ's answer (mirrors `Run::affected_since`'s lazy construction).
-fn affected_language(nfq: &Nfq) -> Nfa {
+/// the NFQ's answer. The engine rebuilds it for NFQs that layer
+/// simplification rewrote.
+pub(crate) fn affected_language(nfq: &Nfq) -> Nfa {
     let parts: Vec<Nfa> = nfq
         .pattern
         .node_ids()
@@ -194,8 +197,8 @@ fn affected_language(nfq: &Nfq) -> Nfa {
 }
 
 /// The position language of the NFQ's linear path, suffix-closed for
-/// descendant-ended NFQs (mirrors `Run::call_position_matches`).
-fn position_language(nfq: &Nfq) -> Nfa {
+/// descendant-ended NFQs. Rebuilt like [`affected_language`].
+pub(crate) fn position_language(nfq: &Nfq) -> Nfa {
     let nfa = Nfa::from_linear_path(&nfq.lin);
     if nfq.via == axml_query::EdgeKind::Descendant {
         nfa.suffix_closure()

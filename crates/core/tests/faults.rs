@@ -9,6 +9,7 @@
 //! replayed under a different schedule via `AXML_FAULT_SEED`.
 
 use axml_core::{Engine, EngineConfig, EvalReport};
+use axml_obs::{Event, EventKind, RingSink};
 use axml_query::parse_query;
 use axml_services::{
     BreakerConfig, CallRequest, FaultProfile, FnService, NetProfile, Registry, RetryPolicy,
@@ -69,11 +70,20 @@ fn answers(doc: &Document, report: &EvalReport) -> BTreeSet<Vec<String>> {
 }
 
 fn run(registry: &Registry, config: EngineConfig) -> (EvalReport, Document) {
+    let (report, d, _) = run_traced(registry, config);
+    (report, d)
+}
+
+/// [`run`], also returning the structured trace.
+fn run_traced(registry: &Registry, config: EngineConfig) -> (EvalReport, Document, Vec<Event>) {
     let q = parse_query("/r/item/id/$I -> $I").unwrap();
     let mut d = doc();
-    let report = Engine::new(registry, config).evaluate(&mut d, &q);
+    let ring = RingSink::unbounded();
+    let report = Engine::new(registry, config)
+        .with_observer(&ring)
+        .evaluate(&mut d, &q);
     d.check_integrity().unwrap();
-    (report, d)
+    (report, d, ring.events())
 }
 
 /// The full answer: all eight items, both providers.
@@ -253,7 +263,7 @@ fn mode_parallel_batch_failure_spares_batch_mates() {
 /// A printable fingerprint of everything an EvalReport determines
 /// (answers, the completed document, retry counts, the simulated clock,
 /// the trace) — but not CPU durations, which are measurements.
-fn fingerprint(doc: &Document, report: &EvalReport) -> String {
+fn fingerprint(doc: &Document, report: &EvalReport, events: &[Event]) -> String {
     use std::fmt::Write;
     let mut out = String::new();
     writeln!(out, "doc: {}", axml_xml::to_xml(doc)).unwrap();
@@ -274,30 +284,37 @@ fn fingerprint(doc: &Document, report: &EvalReport) -> String {
         report.complete
     )
     .unwrap();
-    for e in &report.trace {
-        writeln!(
-            out,
-            "trace: r{} {} /{} pushed={} ok={} attempts={} cost={}",
-            e.round, e.service, e.path, e.pushed, e.ok, e.attempts, e.cost_ms
-        )
-        .unwrap();
+    for e in events {
+        if let EventKind::Invocation {
+            service,
+            path,
+            pushed,
+            ok,
+            attempts,
+            cost_ms,
+            ..
+        } = &e.kind
+        {
+            writeln!(
+                out,
+                "trace: r{} {} /{} pushed={} ok={} attempts={} cost={}",
+                e.round, service, path, pushed, ok, attempts, cost_ms
+            )
+            .unwrap();
+        }
     }
     out
 }
 
 #[test]
 fn same_seed_means_byte_identical_reports() {
-    for (name, base) in strategies() {
-        let config = EngineConfig {
-            trace: true,
-            ..base
-        };
+    for (name, config) in strategies() {
         let one = |()| {
             let mut r = registry();
             r.set_default_fault_profile(FaultProfile::chaos(seed(), 0.5));
             r.set_retry_policy(RetryPolicy::default().with_timeout_ms(200.0));
-            let (report, d) = run(&r, config.clone());
-            fingerprint(&d, &report)
+            let (report, d, events) = run_traced(&r, config.clone());
+            fingerprint(&d, &report, &events)
         };
         assert_eq!(
             one(()),

@@ -3,6 +3,7 @@
 
 use axml_core::{Engine, EngineConfig};
 use axml_gen::scenario::{figure1, figure4_query};
+use axml_obs::{EventKind, RingSink};
 use axml_query::{eval, parse_query, render_result};
 use std::collections::BTreeSet;
 
@@ -63,6 +64,37 @@ fn multi_query_superset_of_single_query_calls() {
     assert_eq!(rendered, vec![vec!["***".to_string()]]);
 }
 
+/// Incremental detection keeps per-NFQ caches keyed by NFQ index; the
+/// shared rewriting numbers every query's NFQs in one index space, so one
+/// query's cached candidates and label automata never answer for
+/// another's NFQ at the same position.
+#[test]
+fn shared_rewriting_with_incremental_detection_answers_like_single_runs() {
+    let s = figure1();
+    let queries = [
+        figure4_query(),
+        parse_query("/hotels/hotel[name=\"Best Western\"]/nearby//museum[name=$M] -> $M").unwrap(),
+        parse_query("/hotels/hotel/rating/$R -> $R").unwrap(),
+    ];
+    let config = EngineConfig {
+        incremental_detection: true,
+        ..EngineConfig::default()
+    };
+    let mut dm = s.doc.clone();
+    let reports = Engine::new(&s.registry, config.clone())
+        .with_schema(&s.schema)
+        .evaluate_many(&mut dm, &queries);
+    for (q, shared) in queries.iter().zip(&reports) {
+        let mut d = s.doc.clone();
+        let single = Engine::new(&s.registry, config.clone())
+            .with_schema(&s.schema)
+            .evaluate(&mut d, q);
+        let want: BTreeSet<_> = render_result(&d, &single.result).into_iter().collect();
+        let got: BTreeSet<_> = render_result(&dm, &shared.result).into_iter().collect();
+        assert_eq!(got, want, "{}", axml_query::render(q));
+    }
+}
+
 #[test]
 fn empty_query_set() {
     let s = figure1();
@@ -95,25 +127,29 @@ fn trace_records_each_invocation() {
     let s = figure1();
     let mut doc = s.doc.clone();
     let q = figure4_query();
-    let report = Engine::new(
-        &s.registry,
-        EngineConfig {
-            trace: true,
-            ..EngineConfig::default()
-        },
-    )
-    .with_schema(&s.schema)
-    .evaluate(&mut doc, &q);
-    assert_eq!(report.trace.len(), report.stats.calls_invoked);
-    assert!(report
-        .trace
-        .iter()
-        .any(|e| e.service == "getNearbyRestos" && e.path.starts_with("hotels/hotel/nearby")));
-    assert!(report.trace.iter().any(|e| e.pushed));
-    // untraced runs carry no events
-    let mut doc2 = s.doc.clone();
-    let quiet = Engine::new(&s.registry, EngineConfig::default())
+    let ring = RingSink::unbounded();
+    let report = Engine::new(&s.registry, EngineConfig::default())
         .with_schema(&s.schema)
-        .evaluate(&mut doc2, &q);
-    assert!(quiet.trace.is_empty());
+        .with_observer(&ring)
+        .evaluate(&mut doc, &q);
+    // (service, path, pushed) of every invocation event
+    let invocations: Vec<(String, String, bool)> = ring
+        .events()
+        .into_iter()
+        .filter_map(|e| match e.kind {
+            EventKind::Invocation {
+                service,
+                path,
+                pushed,
+                ..
+            } => Some((service, path, pushed)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(invocations.len(), report.stats.calls_invoked);
+    assert!(invocations
+        .iter()
+        .any(|(service, path, _)| service == "getNearbyRestos"
+            && path.starts_with("hotels/hotel/nearby")));
+    assert!(invocations.iter().any(|&(_, _, pushed)| pushed));
 }

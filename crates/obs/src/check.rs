@@ -108,7 +108,7 @@ fn is_subscription_event(e: &Event) -> bool {
 
 /// Whether an event belongs to the plan-cache stream. Plan-cache probes
 /// are emitted by the store's plan cache, outside any engine query span
-/// (query traces are byte-identical with the plan cache on or off), so —
+/// (query traces are byte-identical whether a plan was reused), so —
 /// like subscription events — they are partitioned out of the span checks
 /// and replayed by `check_plan_cache`.
 fn is_plan_cache_event(e: &Event) -> bool {

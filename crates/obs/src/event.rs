@@ -241,10 +241,10 @@ pub enum EventKind {
     },
     /// A compiled-plan cache probe and its outcome. Emitted by the
     /// store's plan cache through its **own** sink, never into an
-    /// engine's query span — query traces must stay byte-identical with
-    /// the plan cache on or off, so plan-cache activity gets a stream of
-    /// its own (like subscription events, the span checks partition it
-    /// out).
+    /// engine's query span — query traces must stay byte-identical
+    /// whether a plan was reused or compiled, so plan-cache activity gets
+    /// a stream of its own (like subscription events, the span checks
+    /// partition it out).
     PlanCacheProbe {
         /// Rendered query text of the probed plan key.
         query: String,

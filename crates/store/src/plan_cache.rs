@@ -4,13 +4,14 @@
 //! only a symbol-table remap per document.
 //!
 //! Correctness does not depend on the cache: a cached plan is attached to
-//! an engine via [`axml_core::Engine::with_plan`], and the engine consults
-//! it only when [`CompiledQuery::compatible`] confirms the exact
-//! compile-relevant key — a stale or mismatched plan is silently ignored,
-//! never misapplied. Query answers, traces and statistics are
-//! byte-identical with the cache on or off (pinned by the plan-equivalence
-//! oracle and the golden-trace tests); the cache changes *when* the
-//! compile work happens, not *what* is computed.
+//! an engine via [`axml_core::Engine::with_plan`], and the engine uses it
+//! only when [`CompiledQuery::compatible`] confirms the exact
+//! compile-relevant key — a stale or mismatched plan is silently ignored
+//! (the engine compiles its own), never misapplied. Query answers, traces
+//! and statistics are byte-identical at every capacity, 0 ("every fetch
+//! compiles") included (pinned by the plan-equivalence oracle and the
+//! golden-trace tests); the cache changes *when* the compile work
+//! happens, not *what* is computed.
 //!
 //! Shape follows [`crate::CallCache`]: hash-**sharded** so concurrent
 //! sessions probing different queries do not serialize on one lock, with

@@ -10,7 +10,7 @@
 
 use crate::cache::{CacheStats, CallCache};
 use crate::plan_cache::PlanCache;
-use axml_core::{Engine, EngineConfig, EngineStats, EvalReport, TraceEvent};
+use axml_core::{Engine, EngineConfig, EngineStats, EvalReport};
 use axml_obs::TraceSink;
 use axml_query::{construct_results, render_result, Pattern};
 use axml_schema::Schema;
@@ -31,13 +31,13 @@ pub struct SessionOptions {
     /// `false`, queries materialize into the stored document: the working
     /// copy with its spliced results is *published* as the document's next
     /// version, and later queries (of this or any other session) see it.
+    ///
+    /// Persistent queries run with [`EngineConfig::push_queries`] off,
+    /// whatever `engine` says: a pushed query makes the provider return
+    /// only what that query selects, and publishing such a filtered result
+    /// would leave later queries with other predicates reading incomplete
+    /// data — the reason [`Engine::evaluate_many`] disables push too.
     pub snapshot_per_query: bool,
-    /// When `true` (the default) sessions opened through a
-    /// [`crate::DocumentStore`] fetch their [`axml_core::CompiledQuery`]
-    /// from the store's shared [`PlanCache`] instead of letting the
-    /// engine compile transiently. Purely a performance knob: answers,
-    /// traces and stats are byte-identical either way.
-    pub plan_cache: bool,
 }
 
 impl Default for SessionOptions {
@@ -45,7 +45,6 @@ impl Default for SessionOptions {
         SessionOptions {
             engine: EngineConfig::default(),
             snapshot_per_query: true,
-            plan_cache: true,
         }
     }
 }
@@ -72,8 +71,6 @@ pub struct SessionReport {
     pub answers: BTreeSet<Vec<String>>,
     /// The constructed `<results>` document, serialized.
     pub result_xml: String,
-    /// Execution trace (empty unless the engine config enables tracing).
-    pub trace: Vec<TraceEvent>,
     /// Cumulative cache counters *after* this query.
     pub cache: CacheStats,
     /// The session's simulated clock *after* this query, in ms.
@@ -140,10 +137,9 @@ impl<'a> Session<'a> {
     }
 
     /// Attaches the shared compiled-plan cache: each query fetches its
-    /// [`axml_core::CompiledQuery`] from it (compiling on first use) and
-    /// hands the plan to the engine, which consults it only when its
-    /// compatibility key matches — so a session on unusual config falls
-    /// back to transient compilation, never a misapplied plan.
+    /// [`axml_core::CompiledQuery`] from it (compiling on a miss) and hands
+    /// the plan to the engine. Without one, the engine compiles a plan per
+    /// query; answers, traces and stats are the same either way.
     pub fn with_plans(mut self, plans: Arc<PlanCache>) -> Self {
         self.plans = Some(plans);
         self
@@ -208,15 +204,18 @@ impl<'a> Session<'a> {
     /// every attempt (the work was performed); the report describes the
     /// attempt that won.
     pub fn query(&mut self, query: &Pattern) -> SessionReport {
+        let config = EngineConfig {
+            push_queries: self.options.engine.push_queries && self.options.snapshot_per_query,
+            ..self.options.engine.clone()
+        };
         // one fetch per query() call: the plan key is fixed across CAS
         // retries, so conflict re-evaluations reuse the same plan
         let plan = self
             .plans
             .as_ref()
-            .filter(|_| self.options.engine.use_plans)
-            .map(|pc| pc.fetch(query, self.schema, &self.options.engine));
+            .map(|pc| pc.fetch(query, self.schema, &config));
         loop {
-            let mut engine = Engine::new(self.registry, self.options.engine.clone())
+            let mut engine = Engine::new(self.registry, config.clone())
                 .with_cache(self.cache.as_ref())
                 .starting_at(self.clock_ms);
             if let Some(plan) = &plan {
@@ -262,7 +261,6 @@ impl<'a> Session<'a> {
             complete: report.complete,
             answers,
             result_xml,
-            trace: report.trace,
             cache: self.cache.stats(),
             clock_ms: self.clock_ms,
             doc_version,

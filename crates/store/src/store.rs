@@ -229,9 +229,8 @@ impl DocumentStore {
         &self.cache
     }
 
-    /// The shared compiled-plan cache. Sessions opened with
-    /// [`SessionOptions::plan_cache`] (the default) fetch their compiled
-    /// query plans from it.
+    /// The shared compiled-plan cache. Every session the store opens
+    /// fetches its compiled query plans from it.
     pub fn plans(&self) -> &Arc<PlanCache> {
         &self.plans
     }
@@ -274,13 +273,9 @@ impl DocumentStore {
     ) -> Option<Session<'a>> {
         let cache = Arc::clone(&self.cache);
         let doc = Arc::clone(self.docs.get(name)?);
-        let use_plans = options.plan_cache;
-        let session = Session::new(doc, registry, schema, cache, options);
-        Some(if use_plans {
-            session.with_plans(Arc::clone(&self.plans))
-        } else {
-            session
-        })
+        Some(
+            Session::new(doc, registry, schema, cache, options).with_plans(Arc::clone(&self.plans)),
+        )
     }
 }
 

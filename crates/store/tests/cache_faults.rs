@@ -8,6 +8,7 @@
 //! arrangement replays byte-for-byte under a fixed fault seed.
 
 use axml_core::{EngineConfig, EngineStats};
+use axml_obs::{Event, EventKind, RingSink};
 use axml_query::{parse_query, Pattern};
 use axml_services::{
     BreakerConfig, CallRequest, FaultProfile, FnService, NetProfile, Registry, RetryPolicy,
@@ -267,10 +268,10 @@ fn expiry_respects_the_session_clock_not_query_count() {
 
 /// Everything a session run determines, printable — answers, stats,
 /// traces (with cache markers), cache counters — but no CPU durations.
-fn fingerprint(reports: &[SessionReport]) -> String {
+fn fingerprint(reports: &[(SessionReport, Vec<Event>)]) -> String {
     use std::fmt::Write;
     let mut out = String::new();
-    for (i, rep) in reports.iter().enumerate() {
+    for (i, (rep, events)) in reports.iter().enumerate() {
         let s = &rep.stats;
         writeln!(
             out,
@@ -292,13 +293,24 @@ fn fingerprint(reports: &[SessionReport]) -> String {
         for row in &rep.answers {
             writeln!(out, "  answer: {row:?}").unwrap();
         }
-        for e in &rep.trace {
-            writeln!(
-                out,
-                "  trace: r{} {} /{} cached={} ok={} attempts={} cost={}",
-                e.round, e.service, e.path, e.cached, e.ok, e.attempts, e.cost_ms
-            )
-            .unwrap();
+        for e in events {
+            if let EventKind::Invocation {
+                service,
+                path,
+                cached,
+                ok,
+                attempts,
+                cost_ms,
+                ..
+            } = &e.kind
+            {
+                writeln!(
+                    out,
+                    "  trace: r{} {} /{} cached={} ok={} attempts={} cost={}",
+                    e.round, service, path, cached, ok, attempts, cost_ms
+                )
+                .unwrap();
+            }
         }
         let c = &rep.cache;
         writeln!(
@@ -319,21 +331,23 @@ fn chaos_replay_is_byte_identical_under_a_fixed_seed() {
         r.set_default_fault_profile(FaultProfile::chaos(seed(), 0.5));
         r.set_retry_policy(RetryPolicy::default().with_timeout_ms(200.0));
         let opts = SessionOptions {
-            engine: EngineConfig {
-                trace: true,
-                ..EngineConfig::default()
-            },
+            engine: EngineConfig::default(),
             snapshot_per_query: true,
-            ..SessionOptions::default()
         };
-        let mut session = store.session("d", &r, None, opts).unwrap();
+        let ring = RingSink::unbounded();
+        let mut session = store
+            .session("d", &r, None, opts)
+            .unwrap()
+            .with_observer(&ring);
         let q = query();
         let mut reports = Vec::new();
         for i in 0..4 {
             if i == 2 {
                 session.advance_clock(400.0); // expire the early entries
             }
-            reports.push(session.query(&q));
+            let first = ring.len();
+            let report = session.query(&q);
+            reports.push((report, ring.events()[first..].to_vec()));
         }
         fingerprint(&reports)
     };
@@ -354,7 +368,6 @@ fn persistent_mode_materializes_instead_of_caching() {
     let opts = SessionOptions {
         engine: EngineConfig::default(),
         snapshot_per_query: false,
-        ..SessionOptions::default()
     };
     let mut session = store.session("d", &r, None, opts.clone()).unwrap();
     let cold = session.query(&query());

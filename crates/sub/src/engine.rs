@@ -219,8 +219,8 @@ impl<'a> SubscriptionEngine<'a> {
 
     /// Attaches the shared compiled-plan cache: every refresh and
     /// reconcile evaluation fetches its [`axml_core::CompiledQuery`]
-    /// from it instead of compiling transiently. [`over_store`] wires
-    /// this automatically. Performance-only: answers, deltas, traces
+    /// from it instead of the engine compiling one per evaluation.
+    /// [`over_store`] wires this automatically. Answers, deltas, traces
     /// and stats are byte-identical either way.
     ///
     /// [`over_store`]: SubscriptionEngine::over_store
@@ -658,10 +658,10 @@ impl<'a> SubscriptionEngine<'a> {
         config: EngineConfig,
         ring: &RingSink,
     ) -> (BTreeSet<Vec<String>>, EngineStats) {
-        let plan = match &self.plans {
-            Some(plans) if config.use_plans => Some(plans.fetch(query, self.schema, &config)),
-            _ => None,
-        };
+        let plan = self
+            .plans
+            .as_ref()
+            .map(|plans| plans.fetch(query, self.schema, &config));
         let mut engine = axml_core::Engine::new(self.registry, config)
             .with_cache(self.cache.as_ref())
             .starting_at(self.clock_ms)

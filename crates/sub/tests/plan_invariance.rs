@@ -1,11 +1,11 @@
 //! Subscriptions leg of the plan-equivalence oracle: a standing-query
-//! engine whose refresh and reconcile evaluations fetch compiled plans
-//! from the store's [`PlanCache`] must deliver exactly the delta stream
-//! of one that compiles every query transiently — same initial answers,
-//! same deltas, same structured trace byte for byte, same stats. The
-//! plan layer is pure mechanism; subscription semantics never see it.
+//! engine whose refresh and reconcile evaluations reuse compiled plans
+//! from the store's [`axml_store::PlanCache`] must deliver exactly the
+//! delta stream of one whose capacity-0 plan cache compiles on every
+//! fetch — same initial answers, same deltas, same structured trace byte
+//! for byte, same stats. Plan reuse is pure mechanism; subscription
+//! semantics never see it.
 
-use axml_core::EngineConfig;
 use axml_gen::feeds::{price_feed, Feed, PriceFeedParams};
 use axml_obs::{to_jsonl, RingSink};
 use axml_store::{CacheConfig, DocumentStore, PlanCacheConfig};
@@ -29,16 +29,16 @@ struct Run {
     plan_hits: u64,
 }
 
-/// Drives the price feed to 1500 ms with `use_plans` on or off; the
-/// feed (the volatile services are stateful), the store and hence the
-/// plan cache are all fresh per run, so the two runs share nothing but
-/// the generator seed.
-fn run_feed(use_plans: bool) -> Run {
+/// Drives the price feed to 1500 ms over a store with the given plan-cache
+/// config; the feed (the volatile services are stateful), the store and
+/// hence the plan cache are all fresh per run, so two runs share nothing
+/// but the generator seed.
+fn run_feed(plans: PlanCacheConfig) -> Run {
     let feed = &price_feed(&PriceFeedParams {
         hotels: 12,
         volatile_stride: 2,
     });
-    let mut store = DocumentStore::with_configs(cache_config(feed), PlanCacheConfig::default());
+    let mut store = DocumentStore::with_configs(cache_config(feed), plans);
     store.insert("feed", feed.doc.clone());
     let trace = RingSink::unbounded();
     let mut engine = SubscriptionEngine::over_store(
@@ -48,10 +48,6 @@ fn run_feed(use_plans: bool) -> Run {
         None,
         SubscriptionOptions {
             history_capacity: 4096,
-            engine: EngineConfig {
-                use_plans,
-                ..EngineConfig::default()
-            },
             ..SubscriptionOptions::default()
         },
     )
@@ -77,22 +73,19 @@ fn run_feed(use_plans: bool) -> Run {
 }
 
 #[test]
-fn delta_streams_are_identical_with_and_without_compiled_plans() {
-    let compiled = run_feed(true);
-    let interpreted = run_feed(false);
+fn delta_streams_are_identical_with_reused_and_never_reused_plans() {
+    let reused = run_feed(PlanCacheConfig::default());
+    let never = run_feed(PlanCacheConfig::with_capacity(0));
 
     assert!(
-        !compiled.deltas.is_empty(),
+        !reused.deltas.is_empty(),
         "the volatile feed emitted nothing — the comparison would be vacuous"
     );
+    assert_eq!(reused.initials, never.initials, "initial answers diverge");
+    assert_eq!(reused.deltas, never.deltas, "delta streams diverge");
     assert_eq!(
-        compiled.initials, interpreted.initials,
-        "initial answers diverge"
-    );
-    assert_eq!(compiled.deltas, interpreted.deltas, "delta streams diverge");
-    assert_eq!(
-        compiled.trace_jsonl, interpreted.trace_jsonl,
-        "structured traces diverge between compiled and interpreted refreshes"
+        reused.trace_jsonl, never.trace_jsonl,
+        "structured traces diverge between reused and never-reused plans"
     );
     // wall-clock CPU measurements are not semantics; zero them out
     let sim_stats = |s: &SubscriptionEngineStats| SubscriptionEngineStats {
@@ -101,27 +94,27 @@ fn delta_streams_are_identical_with_and_without_compiled_plans() {
         ..s.clone()
     };
     assert_eq!(
-        sim_stats(&compiled.stats),
-        sim_stats(&interpreted.stats),
+        sim_stats(&reused.stats),
+        sim_stats(&never.stats),
         "stats diverge"
     );
 
-    // the compiled run really went through the plan cache — each standing
+    // the reusing run really went through the plan cache — each standing
     // query compiled once, then every later refresh was a hit
     assert!(
-        compiled.plan_compiles >= 1,
-        "plans-on run never compiled a plan"
+        reused.plan_compiles >= 1,
+        "the reusing run never compiled a plan"
     );
     assert!(
-        compiled.plan_hits > compiled.plan_compiles,
+        reused.plan_hits > reused.plan_compiles,
         "refreshes did not reuse cached plans (hits={}, compiles={})",
-        compiled.plan_hits,
-        compiled.plan_compiles
+        reused.plan_hits,
+        reused.plan_compiles
     );
-    // the interpreted run must not have touched the plan cache at all
-    assert_eq!(
-        interpreted.plan_compiles + interpreted.plan_hits,
-        0,
-        "use_plans: false still consulted the plan cache"
+    // the capacity-0 run compiled on every fetch and never hit
+    assert_eq!(never.plan_hits, 0, "a capacity-0 plan cache served a hit");
+    assert!(
+        never.plan_compiles > reused.plan_compiles,
+        "the capacity-0 run did not compile per fetch"
     );
 }

@@ -45,7 +45,7 @@ use activexml::core::{
     build_lpqs, build_nfqs, compute_layers, plural, Engine, EngineConfig, HedgeConfig, ShedConfig,
     Speculation, Strategy, Typing,
 };
-use activexml::obs::{aggregate, to_jsonl, RingSink};
+use activexml::obs::{aggregate, to_jsonl, Event, EventKind, RingSink};
 use activexml::query::{construct_results, parse_query, render, EvalOptions, Pattern};
 use activexml::schema::{parse_schema, Schema};
 use activexml::services::{load_registry, FaultProfile, Registry};
@@ -276,23 +276,9 @@ fn cache_config(opts: &Opts) -> Result<CacheConfig, String> {
     Ok(config)
 }
 
-/// Whether sessions consult the store's shared compiled-plan cache:
-/// `--plan-cache on|off` (default on). Bare `--plan-cache` and
-/// `--no-plan-cache` are accepted too. Purely a performance knob —
-/// answers, traces and stats are byte-identical either way.
-fn wants_plan_cache(opts: &Opts) -> Result<bool, String> {
-    if opts.flag("no-plan-cache") {
-        return Ok(false);
-    }
-    match opts.value("plan-cache") {
-        None | Some("on") => Ok(true),
-        Some("off") => Ok(false),
-        Some(other) => Err(format!("--plan-cache expects on|off, got {other:?}")),
-    }
-}
-
 /// Builds the compiled-plan cache configuration from
-/// `--plan-cache-capacity` (max cached plans before LRU eviction).
+/// `--plan-cache-capacity` (max cached plans before LRU eviction; 0 never
+/// keeps a plan, so every query compiles its own).
 fn plan_config(opts: &Opts) -> Result<PlanCacheConfig, String> {
     let mut config = PlanCacheConfig::default();
     if let Some(v) = opts.value("plan-cache-capacity") {
@@ -496,7 +482,6 @@ fn engine_config(opts: &Opts) -> Result<EngineConfig, String> {
         containment_pruning: !opts.flag("no-containment"),
         enforce_output_types: opts.flag("enforce-types"),
         incremental_detection: opts.flag("incremental"),
-        trace: opts.flag("trace"),
         real_threads: opts.flag("threads"),
         speculation: if opts.flag("speculate") {
             Speculation::Always
@@ -514,11 +499,13 @@ fn engine_config(opts: &Opts) -> Result<EngineConfig, String> {
     })
 }
 
-/// Builds the structured-trace collector when `--trace-json` or
-/// `--trace-summary` asks for one. Events are collected in memory during
-/// the run and written out afterwards, so one stream serves both outputs.
+/// Builds the structured-trace collector when `--trace`, `--trace-json`
+/// or `--trace-summary` asks for one. Events are collected in memory
+/// during the run and written out afterwards, so one stream serves every
+/// output.
 fn trace_collector(opts: &Opts) -> Option<RingSink> {
-    (opts.value("trace-json").is_some() || opts.flag("trace-summary")).then(RingSink::unbounded)
+    (opts.flag("trace") || opts.value("trace-json").is_some() || opts.flag("trace-summary"))
+        .then(RingSink::unbounded)
 }
 
 /// Writes the collected stream: `--trace-json PATH` gets the
@@ -584,8 +571,8 @@ fn cmd_query(opts: &Opts) -> Result<(), String> {
     if opts.flag("stats") {
         eprintln!("{}", report.stats);
     }
-    if opts.flag("trace") {
-        print_trace(&report.trace);
+    if let (true, Some(r)) = (opts.flag("trace"), &ring) {
+        print_trace(&r.events());
     }
     let pretty = SerializeOptions {
         pretty: true,
@@ -602,21 +589,46 @@ fn cmd_query(opts: &Opts) -> Result<(), String> {
     Ok(())
 }
 
-fn print_trace(trace: &[activexml::core::TraceEvent]) {
-    for e in trace {
-        eprintln!(
-            "round {:>3}  {:<20} at /{}{}{}{}{}  ({:.1} ms, {} attempt{})",
-            e.round,
-            e.service,
-            e.path,
-            if e.cached { "  [CACHED]" } else { "" },
-            if e.hedged { "  [HEDGED]" } else { "" },
-            if e.pushed { "  [pushed]" } else { "" },
-            if e.ok { "" } else { "  [FAILED]" },
-            e.cost_ms,
-            e.attempts,
-            plural(e.attempts, "s")
-        );
+/// `--trace`: one stderr line per invocation, projected from the
+/// structured stream. A call is `[HEDGED]` when a `hedge` event for it
+/// precedes its invocation.
+fn print_trace(events: &[Event]) {
+    let mut hedged_call = None;
+    for e in events {
+        match &e.kind {
+            EventKind::Hedge { call, .. } => hedged_call = Some(*call),
+            EventKind::Invocation {
+                service,
+                call,
+                path,
+                pushed,
+                cached,
+                ok,
+                attempts,
+                cost_ms,
+                ..
+            } => {
+                eprintln!(
+                    "round {:>3}  {:<20} at /{}{}{}{}{}  ({:.1} ms, {} attempt{})",
+                    e.round,
+                    service,
+                    path,
+                    if *cached { "  [CACHED]" } else { "" },
+                    if hedged_call == Some(*call) {
+                        "  [HEDGED]"
+                    } else {
+                        ""
+                    },
+                    if *pushed { "  [pushed]" } else { "" },
+                    if *ok { "" } else { "  [FAILED]" },
+                    cost_ms,
+                    attempts,
+                    plural(*attempts, "s")
+                );
+                hedged_call = None;
+            }
+            _ => {}
+        }
     }
 }
 
@@ -626,7 +638,8 @@ fn print_trace(trace: &[activexml::core::TraceEvent]) {
 /// cost. `--idle-ms X` inserts simulated idle time between consecutive
 /// queries (aging cached entries toward their `--cache-ttl-ms` horizon);
 /// `--persist` materializes results into the stored document instead of
-/// evaluating each query on a snapshot.
+/// evaluating each query on a snapshot (and so ignores `--push`: a pushed
+/// query's filtered result must not be published).
 fn cmd_session(opts: &Opts) -> Result<(), String> {
     let doc = load_doc(opts)?;
     let sources = opts.values_of("query");
@@ -643,9 +656,7 @@ fn cmd_session(opts: &Opts) -> Result<(), String> {
     let options = SessionOptions {
         engine: engine_config(opts)?,
         snapshot_per_query: !opts.flag("persist"),
-        plan_cache: wants_plan_cache(opts)?,
     };
-    let plan_cache_on = options.plan_cache;
     let idle_ms: f64 = match opts.value("idle-ms") {
         None => 0.0,
         Some(v) => v
@@ -687,6 +698,7 @@ fn cmd_session(opts: &Opts) -> Result<(), String> {
         if i > 0 && idle_ms > 0.0 {
             session.advance_clock(idle_ms);
         }
+        let first_event = ring.as_ref().map_or(0, RingSink::len);
         let report = session.query(query);
         let s = &report.stats;
         total_invoked += s.calls_invoked;
@@ -702,8 +714,8 @@ fn cmd_session(opts: &Opts) -> Result<(), String> {
             report.clock_ms,
             if report.complete { "" } else { "  [PARTIAL]" }
         );
-        if opts.flag("trace") {
-            print_trace(&report.trace);
+        if let (true, Some(r)) = (opts.flag("trace"), &ring) {
+            print_trace(&r.events()[first_event..]);
         }
         if opts.flag("stats") {
             eprintln!("{s}");
@@ -727,17 +739,15 @@ fn cmd_session(opts: &Opts) -> Result<(), String> {
         session.cache().len(),
         session.cache().total_bytes()
     );
-    if plan_cache_on {
-        let ps = store.plans().stats();
-        println!(
-            "== plans: {} compiled, {} hits / {} misses ({:.0}% hit rate), {} live",
-            ps.compiles,
-            ps.hits,
-            ps.misses,
-            ps.hit_rate() * 100.0,
-            store.plans().len()
-        );
-    }
+    let ps = store.plans().stats();
+    println!(
+        "== plans: {} compiled, {} hits / {} misses ({:.0}% hit rate), {} live",
+        ps.compiles,
+        ps.hits,
+        ps.misses,
+        ps.hit_rate() * 100.0,
+        store.plans().len()
+    );
     if let Some(manager) = store.durability() {
         let ds = manager.stats();
         println!(

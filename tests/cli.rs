@@ -400,7 +400,8 @@ fn hedge_and_shed_flags_keep_traces_deterministic() {
 /// Two identical `session` runs with the plan cache warm (the second
 /// `--query` repeats the first, so its plan fetch is a hit) must emit
 /// byte-identical trace JSONL — and the same bytes again with
-/// `--no-plan-cache`, because the compiled-plan layer is trace-invisible.
+/// `--plan-cache-capacity 0`, which compiles on every fetch, because plan
+/// reuse is trace-invisible.
 #[test]
 fn session_traces_are_deterministic_with_a_warm_plan_cache() {
     let t = TempFiles::new("session-plans");
@@ -444,14 +445,14 @@ fn session_traces_are_deterministic_with_a_warm_plan_cache() {
         stdout.contains("== plans: 1 compiled, 1 hits / 1 misses"),
         "plan summary missing or wrong:\n{stdout}"
     );
-    let (without, stdout_off) = run("c.jsonl", &["--no-plan-cache"]);
+    let (without, stdout_off) = run("c.jsonl", &["--plan-cache-capacity", "0"]);
     assert_eq!(
         first, without,
-        "disabling the plan cache changed the session trace"
+        "a capacity-0 plan cache changed the session trace"
     );
     assert!(
-        !stdout_off.contains("== plans:"),
-        "--no-plan-cache still printed a plan summary:\n{stdout_off}"
+        stdout_off.contains("== plans: 2 compiled, 0 hits / 2 misses"),
+        "a capacity-0 plan cache must compile every fetch and never hit:\n{stdout_off}"
     );
     let events = activexml::obs::parse_jsonl(&first).expect("trace parses back");
     let violations = activexml::obs::check_all(&events, None);

@@ -7,35 +7,35 @@
 //!
 //! Regenerate the pinned files with `AXML_UPDATE_GOLDEN=1 cargo test`.
 
-use activexml::core::{Engine, EngineConfig, EngineStats};
+use activexml::core::{CompiledQuery, Engine, EngineConfig, EngineStats};
 use activexml::gen::{figure1, figure4_query};
-use activexml::obs::{assert_clean, parse_jsonl, to_jsonl, EventKind, RingSink};
+use activexml::obs::{assert_clean, parse_jsonl, to_jsonl, RingSink};
 use activexml::services::{FaultProfile, NetProfile};
 use std::path::PathBuf;
+use std::sync::Arc;
 
-/// Runs the Figure 1 walkthrough under `config` (and optional faults) with
-/// an observer attached; returns the deterministic JSONL and the stats.
-fn run(config: EngineConfig, faults: Option<FaultProfile>) -> (String, EngineStats) {
+/// Runs the Figure 1 walkthrough under `config` (and optional faults, and
+/// an optionally attached plan) with an observer attached; returns the
+/// deterministic JSONL and the stats.
+fn run(
+    config: EngineConfig,
+    faults: Option<FaultProfile>,
+    plan: Option<Arc<CompiledQuery>>,
+) -> (String, EngineStats) {
     let mut sc = figure1();
     sc.registry.set_default_profile(NetProfile::latency(10.0));
     if let Some(f) = faults {
         sc.registry.set_default_fault_profile(f);
     }
     let ring = RingSink::unbounded();
-    let engine = Engine::new(&sc.registry, config.clone())
+    let mut engine = Engine::new(&sc.registry, config)
         .with_schema(&sc.schema)
         .with_observer(&ring);
-    let report = engine.evaluate(&mut sc.doc, &figure4_query());
-    let events = ring.events();
-    if config.trace {
-        // the legacy TraceEvent vector is a projection of the stream
-        let invocations = events
-            .iter()
-            .filter(|e| matches!(e.kind, EventKind::Invocation { .. }))
-            .count();
-        assert_eq!(report.trace.len(), invocations);
+    if let Some(plan) = plan {
+        engine = engine.with_plan(plan);
     }
-    (to_jsonl(&events), report.stats)
+    let report = engine.evaluate(&mut sc.doc, &figure4_query());
+    (to_jsonl(&ring.events()), report.stats)
 }
 
 fn golden_path(name: &str) -> PathBuf {
@@ -45,8 +45,17 @@ fn golden_path(name: &str) -> PathBuf {
 }
 
 fn check_golden(name: &str, config: EngineConfig, faults: Option<FaultProfile>) {
-    let (first, stats) = run(config.clone(), faults);
-    let (second, _) = run(config, faults);
+    check_golden_with_plan(name, config, faults, None);
+}
+
+fn check_golden_with_plan(
+    name: &str,
+    config: EngineConfig,
+    faults: Option<FaultProfile>,
+    plan: Option<Arc<CompiledQuery>>,
+) {
+    let (first, stats) = run(config.clone(), faults, plan.clone());
+    let (second, _) = run(config, faults, plan);
     assert_eq!(first, second, "{name}: two same-seed runs diverged");
 
     let events = parse_jsonl(&first).expect("trace JSONL parses back");
@@ -88,7 +97,6 @@ fn golden_threaded_parallel_batches() {
         EngineConfig {
             parallel: true,
             real_threads: true,
-            trace: true,
             ..EngineConfig::default()
         },
         None,
@@ -123,21 +131,38 @@ fn golden_default_schedule_is_eval_mode_invariant() {
     );
 }
 
-/// The compiled-plan layer must be trace-invisible: `use_plans: false`
-/// (pure interpreter) reproduces the *same* golden file as the default
-/// schedule, whose pinned bytes already exercise the compiled path
-/// (`use_plans` defaults to on). No new golden is pinned — divergence
-/// from `figure1_default.jsonl` is the failure.
+/// An attached plan compiled for a different configuration must be
+/// trace-invisible: the engine ignores it and compiles its own, so each
+/// incompatible plan — other XPath relaxation, other typing, no schema —
+/// reproduces the *same* golden file as the default schedule. No new
+/// golden is pinned — divergence from `figure1_default.jsonl` is the
+/// failure.
 #[test]
 fn golden_default_schedule_is_plan_mode_invariant() {
-    check_golden(
-        "figure1_default.jsonl",
-        EngineConfig {
-            use_plans: false,
-            ..EngineConfig::default()
-        },
-        None,
-    );
+    let sc = figure1();
+    let config = EngineConfig::default();
+    let relaxed = EngineConfig {
+        relax_xpath: true,
+        ..EngineConfig::default()
+    };
+    let untyped = EngineConfig {
+        typing: activexml::core::Typing::None,
+        ..EngineConfig::default()
+    };
+    let query = figure4_query();
+    for plan in [
+        CompiledQuery::compile(&query, Some(&sc.schema), &relaxed),
+        CompiledQuery::compile(&query, Some(&sc.schema), &untyped),
+        CompiledQuery::compile(&query, None, &config),
+    ] {
+        assert!(!plan.compatible(&query, Some(&sc.schema), &config));
+        check_golden_with_plan(
+            "figure1_default.jsonl",
+            config.clone(),
+            None,
+            Some(Arc::new(plan)),
+        );
+    }
 }
 
 /// A warm cross-session plan cache must be trace-invisible too: fetching
